@@ -78,39 +78,48 @@ func schemeDigestScenario(scheme Scheme) Scenario {
 // recorded BEFORE the transport layer was restructured around the scheme
 // registry and the shared sender core. The refactor is required to be
 // bit-for-bit behaviour-preserving, so these values must never change
-// unless the simulated model itself intentionally changes.
+// unless the simulated model itself intentionally changes. The event
+// count pins the engine-visible side as well: an extra or missing timer
+// shows up here even when no flow result moves.
 //
 // Recorded on linux/amd64, go1.24. Re-record with:
 //
 //	go test -run TestSchemeGoldenDigest -v ./internal/harness/
-var schemeGoldenDigests = map[Scheme]string{
-	SchemeNaive:        "bef5c564f874fa7d",
-	SchemeOWF:          "cfa2e564b32701ff",
-	SchemeLayering:     "a340cfd4db360945",
-	SchemeFlexPass:     "42bc614abcaee72a",
-	SchemeFlexPassAltQ: "8e5b9d50f60697e9",
-	SchemeFlexPassRC3:  "ad7796a15937eaab",
+var schemeGoldenDigests = map[Scheme]struct {
+	digest string
+	events uint64
+}{
+	SchemeNaive:        {"bef5c564f874fa7d", 1612910},
+	SchemeOWF:          {"cfa2e564b32701ff", 2570171},
+	SchemeLayering:     {"a340cfd4db360945", 3175066},
+	SchemeFlexPass:     {"42bc614abcaee72a", 1653475},
+	SchemeFlexPassAltQ: {"8e5b9d50f60697e9", 1659265},
+	SchemeFlexPassRC3:  {"ad7796a15937eaab", 2575023},
 }
 
 // TestSchemeGoldenDigest builds every deployment scheme through the full
 // harness (fabric profile + per-flow transport composition) and asserts
-// the run's flow digest matches the pre-refactor golden value, run-twice
-// deterministic.
+// the run's flow digest and event count match the recorded golden
+// values, run-twice deterministic.
 func TestSchemeGoldenDigest(t *testing.T) {
 	for scheme, want := range schemeGoldenDigests {
 		scheme, want := scheme, want
 		t.Run(string(scheme), func(t *testing.T) {
-			d1 := recordsDigest(Run(schemeDigestScenario(scheme)))
+			r1 := Run(schemeDigestScenario(scheme))
+			d1 := recordsDigest(r1)
 			d2 := recordsDigest(Run(schemeDigestScenario(scheme)))
 			if d1 != d2 {
 				t.Fatalf("non-deterministic: %s vs %s", d1, d2)
 			}
-			t.Logf("%s digest: %s", scheme, d1)
+			t.Logf("%s digest: %s events: %d", scheme, d1, r1.Events)
 			if runtime.GOARCH != "amd64" {
 				t.Skipf("golden constants recorded on amd64; got %s", runtime.GOARCH)
 			}
-			if d1 != want {
-				t.Fatalf("digest %s != recorded %s — scheme composition changed behaviour", d1, want)
+			if d1 != want.digest {
+				t.Fatalf("digest %s != recorded %s — scheme composition changed behaviour", d1, want.digest)
+			}
+			if r1.Events != want.events {
+				t.Fatalf("events %d != recorded %d — engine event stream changed", r1.Events, want.events)
 			}
 		})
 	}

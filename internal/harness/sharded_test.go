@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"runtime"
 	"testing"
 
 	"flexpass/internal/faults"
@@ -196,6 +197,67 @@ func TestShardedFaultPlanRunTwice(t *testing.T) {
 			}
 			if r1.FaultDrops.Injected == 0 {
 				t.Fatal("fault plan injected no losses; scenario does not exercise the faults")
+			}
+		})
+	}
+}
+
+// shardedGoldens pins the parallel engine's results to fixed values, not
+// just run-to-run: schemeDigestScenario at Shards=2 (one pod per shard)
+// for every built-in scheme, plus shardFaultScenario under
+// shardFaultPlan (4 shards, faults firing on several engines). Digest
+// and event count were recorded on linux/amd64, go1.24; re-record with
+//
+//	go test -run TestShardedGoldenDigest -v ./internal/harness/
+var shardedGoldens = map[string]struct {
+	digest string
+	events uint64
+}{
+	"dctcp":          {"d749b8ebcd8e2f11", 2507213},
+	"expresspass":    {"b700bf92e04a0f7b", 1601465},
+	"naive":          {"b700bf92e04a0f7b", 1601465},
+	"owf":            {"10740f771fb8c9ff", 2424554},
+	"layering":       {"6752bb057f25596f", 3916026},
+	"flexpass":       {"2ec4e5bff114fc65", 2790013},
+	"flexpass-altq":  {"325f45373b02fad9", 2519729},
+	"flexpass-rc3":   {"aa22a80b0536a227", 2105934},
+	"homa":           {"2bbfa68f39c19863", 2815382},
+	"phost":          {"07015bb29e58092a", 2726101},
+	"flexpass+fault": {"536249be3a262ccc", 113478},
+}
+
+func TestShardedGoldenDigest(t *testing.T) {
+	cases := map[string]func() Scenario{
+		"flexpass+fault": func() Scenario {
+			sc := shardFaultScenario(SchemeFlexPass)
+			sc.FaultPlan = shardFaultPlan(t)
+			return sc
+		},
+	}
+	for _, scheme := range allSchemeNames {
+		scheme := scheme
+		cases[string(scheme)] = func() Scenario {
+			sc := schemeDigestScenario(scheme)
+			sc.Shards = 2
+			return sc
+		}
+	}
+	for name, build := range cases {
+		name, build := name, build
+		t.Run(name, func(t *testing.T) {
+			want, ok := shardedGoldens[name]
+			if !ok {
+				t.Fatalf("no recorded golden for %q", name)
+			}
+			res := Run(build())
+			got := recordsDigest(res)
+			t.Logf("%s digest: %s events: %d", name, got, res.Events)
+			if runtime.GOARCH != "amd64" {
+				t.Skipf("golden constants recorded on amd64; got %s", runtime.GOARCH)
+			}
+			if got != want.digest || res.Events != want.events {
+				t.Fatalf("got digest %s events %d, recorded %s / %d — sharded behaviour changed",
+					got, res.Events, want.digest, want.events)
 			}
 		})
 	}
