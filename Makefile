@@ -28,11 +28,12 @@ race-core:
 
 # Parallel-engine race pass: the shard barrier/horizon/handoff protocol
 # (internal/sim/shard) plus the harness's sharded determinism suite,
-# which exercises cross-shard flow starts, fault injection, and the
-# live-status publisher goroutine under -race.
+# which exercises cross-shard flow starts and fault injection, and the
+# live table (TestProfileDigestIdentical), whose 2-shard case has every
+# engine post into the shared live-status slots under -race.
 race-shard:
 	$(GO) test -race ./internal/sim/shard/
-	$(GO) test -race -run 'Sharded' ./internal/harness/
+	$(GO) test -race -run 'Sharded|TestProfileDigestIdentical' ./internal/harness/
 
 check: vet build race
 

@@ -189,7 +189,7 @@ func main() {
 	}
 	if *forOut != "" || *traceFlow != "" {
 		if *shards > 1 {
-			fmt.Fprintln(os.Stderr, "forensics (-forensics-out / -trace-flow) requires the single-engine path; drop -shards or set it to 1")
+			fmt.Fprintln(os.Stderr, "forensics (-forensics-out / -trace-flow) requires a single engine; drop -shards or set it to 1")
 			os.Exit(1)
 		}
 		fo := &forensics.Options{}
@@ -311,8 +311,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "heap profile written to %s\n", *memOut)
 	}
 	if *profOut != "" && res.Profile != nil {
-		// Sharded runs merge per-shard profiler exports into res.Profile and
-		// leave res.Profiler nil, so render from the export either way.
 		if *profOut == "-" {
 			_ = prof.WriteTableProfile(os.Stderr, res.Profile)
 		} else {

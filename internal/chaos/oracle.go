@@ -86,7 +86,7 @@ func strayCount(run *obs.Run) int64 {
 // Scenario builds the harness scenario for these coordinates. The
 // forensics plane — the auditor oracles — rides along on single-engine
 // trials; sharded trials run completion and stray oracles only
-// (forensics requires the single-engine path).
+// (forensics requires a single engine).
 func (c Coords) Scenario(o OracleSpec) harness.Scenario {
 	sc := harness.BaseScenario(false)
 	clos, ok := farm.Topologies[c.Topo]

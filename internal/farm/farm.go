@@ -579,6 +579,12 @@ func Execute(points []Point, dir string, opt Options) (*Report, error) {
 	}
 dispatch:
 	for _, pt := range points {
+		// select picks at random among ready cases, so check for
+		// cancellation first: an idle worker must not win over it.
+		if ctx.Err() != nil {
+			rep.Canceled = true
+			break
+		}
 		select {
 		case jobs <- pt:
 		case <-ctx.Done():

@@ -204,7 +204,8 @@ func BufferAccounting(sw *netem.Switch) Check {
 // ProgressWatchdog checks for starvation: a started, incomplete flow
 // whose receive counter has not moved for starveAfter gets flagged
 // (once per stall — progress rearms the watchdog). flows is sampled
-// each tick so late-arriving flows are covered.
+// each tick so late-arriving flows are covered; nil entries stand for
+// flows that have not arrived yet.
 func ProgressWatchdog(flows func() []*transport.Flow, starveAfter sim.Time) Check {
 	type watch struct {
 		rx      int64
@@ -216,6 +217,9 @@ func ProgressWatchdog(flows func() []*transport.Flow, starveAfter sim.Time) Chec
 		Name: "starvation-watchdog",
 		Fn: func(now sim.Time, emit func(string, uint64, string)) {
 			for _, f := range flows() {
+				if f == nil {
+					continue // not yet arrived
+				}
 				if f.Completed {
 					delete(seen, f.ID)
 					continue

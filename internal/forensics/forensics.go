@@ -473,7 +473,7 @@ func (r *Report) Export() []obs.ForensicsData {
 // WorstTimelines builds timelines for the opts.Timelines worst-slowdown
 // flows (plus every flow in opts.Flows, regardless of rank). slowdown
 // estimates a flow's ideal-relative completion cost; incomplete flows
-// rank worst of all.
+// rank worst of all. Nil entries (flows that never arrived) are skipped.
 func WorstTimelines(rec *Recorder, ring *trace.Ring, flows []*transport.Flow,
 	slowdown func(*transport.Flow) float64, opts *Options) []*Timeline {
 	if rec == nil || len(flows) == 0 {
@@ -490,6 +490,9 @@ func WorstTimelines(rec *Recorder, ring *trace.Ring, flows []*transport.Flow,
 	}
 	var rs []ranked
 	for _, fl := range flows {
+		if fl == nil {
+			continue // never arrived
+		}
 		s := slowdown(fl)
 		if !fl.Completed {
 			// Incomplete flows are the prime forensic suspects.

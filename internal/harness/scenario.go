@@ -1,13 +1,17 @@
 // Package harness runs the paper's experiments: it builds a fabric with a
 // scheme's queue profile, generates workloads, assigns flows to legacy or
 // upgraded transports by per-rack deployment, runs the simulation, and
-// collects metrics. One driver per paper figure lives in figures.go and
-// micro.go.
+// collects metrics. Run is the one runner for every Clos scenario at any
+// shard count; the single engine is its 1-shard case. One driver per
+// paper figure lives in figures.go and micro.go.
 package harness
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"flexpass/internal/faults"
@@ -18,6 +22,7 @@ import (
 	"flexpass/internal/obs"
 	"flexpass/internal/prof"
 	"flexpass/internal/sim"
+	"flexpass/internal/sim/shard"
 	"flexpass/internal/topo"
 	"flexpass/internal/trace"
 	"flexpass/internal/transport"
@@ -83,15 +88,16 @@ type Scenario struct {
 	// SampleQueues enables Q1 occupancy sampling at ToR uplinks.
 	SampleQueues bool
 
-	// Shards requests the parallel engine: the Clos is partitioned into
+	// Shards is the number of engines Run partitions the Clos across:
 	// per-pod-block subtrees (cores with pod 0), each driven by its own
 	// engine goroutine, synchronized conservatively on the agg↔core
-	// propagation delay (see internal/sim/shard). 0 or 1 — or a fabric
-	// with nothing to cut — runs the exact single-engine path. The
-	// effective count (min(Shards, Clos.Pods)) lands in the manifest.
-	// Results are deterministic per shard count but not bit-identical
-	// across counts (per-shard RNG streams); Forensics requires the
-	// single-engine path and panics when combined with Shards > 1.
+	// propagation delay (see internal/sim/shard). The effective count is
+	// min(Shards, Clos.Pods); 0 or 1 — or a fabric with nothing to cut —
+	// is the 1-shard case, a plain sim.NewEngine run with no shard
+	// runtime. Counts above one land in the manifest. Results are
+	// deterministic per shard count but not bit-identical across counts
+	// (per-shard RNG streams); Forensics needs a single engine and Run
+	// panics when it is combined with Shards > 1.
 	Shards int
 
 	// Telemetry, when non-nil, enables the obs instrumentation plane:
@@ -130,11 +136,15 @@ type Scenario struct {
 	Profile bool
 
 	// Live, when non-nil, receives periodic progress snapshots (sim-clock
-	// position, flow counts, registry readings) every LiveEvery of sim
-	// time (default 1ms) so an introspection server can report /status
-	// and /metrics while the run executes. Implies telemetry. The board
-	// is the thread-safety boundary: the engine publishes into it, HTTP
-	// goroutines read from it.
+	// position, flow counts, registry readings) so an introspection
+	// server can report /status and /metrics while the run executes.
+	// Implies telemetry. Every engine runs a live/status ticker each
+	// LiveEvery of sim time (default 1ms) that posts its own clock,
+	// events, and readings; the board gets the merged snapshot (the
+	// fleet-minimum clock, summed events, summed readings). The ticks are
+	// engine events and count in Result.Events; flow results are
+	// unchanged. The board is the thread-safety boundary: the engines
+	// publish into it, HTTP goroutines read from it.
 	Live      *live.RunBoard
 	LiveEvery sim.Time
 
@@ -182,7 +192,7 @@ type Scenario struct {
 	Deadline time.Duration
 
 	// StallTimeout, when positive, kills the run when the engine horizon
-	// (fleet-minimum on the sharded path) stops advancing for this much
+	// (the fleet minimum across shards) stops advancing for this much
 	// wall-clock time — catching both livelocks (events churning at one
 	// instant) and wedged engines. Run panics with a *KilledError
 	// (Reason "stall"). Zero disables.
@@ -248,10 +258,9 @@ type Result struct {
 	Faults     *faults.Applied
 	FaultDrops netem.FaultStats
 	// Profile is the engine self-profiler's per-component attribution
-	// (when Scenario.Profile is set); Profiler is the live accumulator
-	// for folded-stacks or table rendering.
-	Profile  []obs.ComponentProfile
-	Profiler *prof.Profiler
+	// (when Scenario.Profile is set), summed across engines; render it
+	// with prof.WriteTableProfile or prof.WriteFoldedProfile.
+	Profile []obs.ComponentProfile
 }
 
 // WorkloadRand returns the deterministic random stream Run uses for
@@ -297,8 +306,8 @@ func rackAssignment(c topo.ClosParams) []int {
 }
 
 // runPlan is the engine-independent half of a run: the generated flow
-// list and the deployment assignment. The single-engine and sharded
-// paths share it verbatim, so both see the same specs in the same order.
+// list and the deployment assignment. It is the same at every shard
+// count, so every engine layout sees the same specs in the same order.
 type runPlan struct {
 	hosts    int
 	rackOf   []int
@@ -384,14 +393,29 @@ func Flows(sc Scenario) []workload.FlowSpec {
 	return planWorkload(sc).flows
 }
 
-// Run executes the scenario and returns collected metrics.
+// Run executes the scenario and returns collected metrics. One body
+// serves every shard count: the Clos is cut into n pod blocks
+// (topo.ClosPodShards), each driven by its own engine, and everything an
+// engine touches during the run — RNG stream, scheme instances, stats
+// registry, trace ring, profiler, prober, packet pool — is a per-engine
+// slot folded once after the drain, so the hot path takes no locks. At
+// n == 1 this is the plain single-engine run: sim.NewEngine's stream, no
+// shard runtime, no cross links. At n > 1 the engines run on their own
+// goroutines under shard.Runtime, synchronized conservatively on the
+// agg↔core propagation delay.
+//
+// Results are deterministic for a fixed (scenario, shard count) but not
+// bit-identical across shard counts: each shard draws from its own PCG
+// stream, so anything randomized (pacer jitter, fault loss) diverges
+// from the single-engine run. Schemes that never draw randomness on a
+// clean run (dctcp, homa, phost) produce identical flow results at any
+// shard count; see TestShardedMatchesSingleEngine.
 func Run(sc Scenario) *Result {
-	if sc.Shards > 1 {
-		if podShard := topo.ClosPodShards(sc.Clos, sc.Shards); topo.Shards(podShard) > 1 {
-			return runSharded(sc, podShard)
-		}
+	podShard := topo.ClosPodShards(sc.Clos, sc.Shards)
+	n := topo.Shards(podShard)
+	if n > 1 && sc.Forensics != nil {
+		panic("harness: forensics requires a single engine (Shards must be 0 or 1)")
 	}
-	eng := sim.NewEngine(sc.Seed)
 	// Forensics implies telemetry: timelines need the registry and a
 	// lifecycle trace ring. Copy the options so the caller's struct is
 	// never mutated.
@@ -412,62 +436,120 @@ func Run(sc Scenario) *Result {
 	if sc.Live != nil && tel == nil {
 		tel = &obs.Options{}
 	}
-	var profiler *prof.Profiler
-	if sc.Profile {
-		profiler = prof.New()
-		profiler.Attach(eng)
-	}
-	var reg *obs.Registry
-	var ring *trace.Ring
-	if tel != nil {
-		reg = obs.NewRegistry()
-		if tel.TraceCap > 0 {
-			ring = trace.NewRing(eng, tel.TraceCap)
+
+	// Per-engine planes. A sharded engine's RNG is an independent PCG
+	// stream derived from (seed, shard), so shard RNG use never depends on
+	// what other shards consumed.
+	engs := make([]*sim.Engine, n)
+	profilers := make([]*prof.Profiler, n)
+	regs := make([]*obs.Registry, n)
+	rings := make([]*trace.Ring, n)
+	for s := range engs {
+		if n == 1 {
+			engs[s] = sim.NewEngine(sc.Seed)
+		} else {
+			engs[s] = sim.NewShardEngine(sc.Seed, s)
+		}
+		if sc.Profile {
+			profilers[s] = prof.New()
+			profilers[s].Attach(engs[s])
+		}
+		if tel != nil {
+			regs[s] = obs.NewRegistry()
+			if tel.TraceCap > 0 {
+				rings[s] = trace.NewRing(engs[s], tel.TraceCap)
+			}
 		}
 	}
 	plan := planWorkload(sc)
-	flows, hosts, oracleWQ := plan.flows, plan.hosts, plan.oracleWQ
-	upgraded := plan.upgraded
 
 	// Compose the transports from the scheme registry. The legacy side is
-	// always DCTCP; the upgraded side is whatever sc.Scheme names. Both
-	// share one env, so counter sets are memoized per transport label and
-	// the fabric is built with the active scheme's queue profile.
+	// always DCTCP; the upgraded side is whatever sc.Scheme names. Each
+	// engine gets one env shared by both, so counter sets are memoized per
+	// transport label, and the fabric is built with the active scheme's
+	// queue profile.
 	spec := sc.Spec
 	spec.WQ = sc.WQ
-	env := &transport.SchemeEnv{
-		Eng:      eng,
-		LinkRate: sc.LinkRate,
-		WQ:       sc.WQ,
-		OracleWQ: oracleWQ,
-		Spec:     spec,
-		Registry: reg,
-		Trace:    ring,
-		Options:  sc.schemeOptions(),
+	envs := make([]*transport.SchemeEnv, n)
+	legacy := make([]transport.Scheme, n)
+	active := make([]transport.Scheme, n)
+	for s := range engs {
+		envs[s] = &transport.SchemeEnv{
+			Eng:      engs[s],
+			LinkRate: sc.LinkRate,
+			WQ:       sc.WQ,
+			OracleWQ: plan.oracleWQ,
+			Spec:     spec,
+			Registry: regs[s],
+			Trace:    rings[s],
+			Options:  sc.schemeOptions(),
+		}
+		legacy[s] = mustScheme(transport.SchemeDCTCP, envs[s])
+		active[s] = mustScheme(string(sc.Scheme), envs[s])
 	}
-	legacy := mustScheme(transport.SchemeDCTCP, env)
-	active := mustScheme(string(sc.Scheme), env)
-	fab := topo.Clos(eng, sc.Clos, topo.Params{
+	fab := topo.ClosSharded(engs, podShard, sc.Clos, topo.Params{
 		LinkRate:  sc.LinkRate,
 		LinkDelay: sc.LinkDelay,
 		HostDelay: sc.HostDelay,
 		SwitchBuf: sc.SwitchBuf,
 		BufAlpha:  sc.BufAlpha,
-		Profile:   active.Profile(),
+		Profile:   active[0].Profile(),
 	})
 	if sc.PoolPackets {
-		fab.Net.EnablePacketPool()
+		// Free lists are single-goroutine state: one pool per engine,
+		// nodes assigned by partition. Packets migrate between pools at
+		// shard cuts (put always runs on the receiving shard).
+		pools := make([]*netem.PacketPool, n)
+		for s := range pools {
+			pools[s] = &netem.PacketPool{}
+		}
+		for i, sw := range fab.Net.Switches {
+			sw.SetPool(pools[fab.SwitchShard[i]])
+		}
+		for i, h := range fab.Net.Hosts {
+			h.SetPool(pools[fab.HostShard[i]])
+		}
 	}
-	agents := make([]*transport.Agent, hosts)
-	var strays *obs.Counter
-	if reg != nil {
-		strays = reg.Counter("transport/agent", "stray_packets")
+
+	// The conservative lookahead is the minimum propagation delay across
+	// the cut: a packet serialized on one shard cannot arrive on another
+	// sooner than that, so each shard may run that far past its
+	// neighbors' horizons.
+	var rt *shard.Runtime
+	if n > 1 {
+		lookahead := sim.Time(0)
+		for _, cl := range fab.Cross {
+			if lookahead == 0 || cl.Port.Prop() < lookahead {
+				lookahead = cl.Port.Prop()
+			}
+		}
+		rt = shard.New(engs, lookahead)
+		for _, cl := range fab.Cross {
+			edge := rt.Connect(cl.From, cl.To)
+			dst := cl.Port.Peer()
+			cl.Port.SetRemote(func(at sim.Time, pkt *netem.Packet) {
+				edge.Deliver(at, pkt, dst)
+			})
+		}
+	}
+
+	// Agents and per-node telemetry live with their engine.
+	agents := make([]*transport.Agent, plan.hosts)
+	strays := make([]*obs.Counter, n)
+	for s, reg := range regs {
+		strays[s] = reg.Counter("transport/agent", "stray_packets")
 	}
 	for i := range agents {
-		agents[i] = transport.NewAgent(eng, fab.Net.Host(i))
-		agents[i].ObserveStrays(strays)
+		s := fab.HostShard[i]
+		agents[i] = transport.NewAgent(engs[s], fab.Net.Host(i))
+		agents[i].ObserveStrays(strays[s])
 	}
-	fab.Net.Register(reg)
+	for i, sw := range fab.Net.Switches {
+		sw.Register(regs[fab.SwitchShard[i]])
+	}
+	for i, h := range fab.Net.Hosts {
+		h.Register(regs[fab.HostShard[i]])
+	}
 
 	var rec *forensics.Recorder
 	if sc.Forensics != nil {
@@ -475,17 +557,19 @@ func Run(sc Scenario) *Result {
 		fab.Net.SetHopObserver(rec)
 	}
 
-	res := &Result{Scenario: sc, OracleWQ: oracleWQ}
+	res := &Result{Scenario: sc, OracleWQ: plan.oracleWQ}
 
 	// Apply the fault plan at a fixed point in setup — after the fabric
 	// and observers exist, before any flow arrival is scheduled — so the
 	// engine's event tie-break order is a pure function of the scenario.
+	// Faults schedule on each matched port's own engine (see
+	// faults.Apply); the action-count bridge registers on engine 0.
 	if sc.FaultPlan != nil {
-		applied, err := faults.Apply(sc.FaultPlan, eng, fab.Net)
+		applied, err := faults.Apply(sc.FaultPlan, engs[0], fab.Net)
 		if err != nil {
 			panic(fmt.Sprintf("harness: %v", err))
 		}
-		applied.Register(reg)
+		applied.Register(regs[0])
 		res.Faults = applied
 	}
 
@@ -493,181 +577,229 @@ func Run(sc Scenario) *Result {
 	// two transports get per-scheme labels stamped around Start so every
 	// timer a transport schedules — pacer ticks, RTO checks, host sends —
 	// inherits its scheme's component transitively.
-	compLegacy := eng.Component("transport/" + transport.SchemeDCTCP)
-	compActive := compLegacy
-	if string(sc.Scheme) != transport.SchemeDCTCP {
-		compActive = eng.Component("transport/" + string(sc.Scheme))
+	compLegacy := make([]sim.Component, n)
+	compActive := make([]sim.Component, n)
+	prevComp := make([]sim.Component, n)
+	for s, e := range engs {
+		compLegacy[s] = e.Component("transport/" + transport.SchemeDCTCP)
+		compActive[s] = compLegacy[s]
+		if string(sc.Scheme) != transport.SchemeDCTCP {
+			compActive[s] = e.Component("transport/" + string(sc.Scheme))
+		}
+		prevComp[s] = e.SetComponent(e.Component("harness/arrival"))
 	}
 
-	var all []*transport.Flow
-	incastOf := make(map[uint64]bool)
-	nextID := uint64(1)
-	prevComp := eng.SetComponent(eng.Component("harness/arrival"))
-	for _, spec := range flows {
-		spec := spec
-		id := nextID
-		nextID++
-		eng.At(spec.At, func() {
-			fl := &transport.Flow{
-				ID:    id,
-				Src:   agents[spec.Src],
-				Dst:   agents[spec.Dst],
-				Size:  spec.Size,
-				Start: eng.Now(),
-			}
-			all = append(all, fl)
-			if spec.Incast {
-				incastOf[id] = true
-			}
-			if !upgraded(spec) {
-				prev := eng.SetComponent(compLegacy)
-				legacy.Start(fl)
-				eng.SetComponent(prev)
-				return
-			}
-			prev := eng.SetComponent(compActive)
-			active.Start(fl)
-			eng.SetComponent(prev)
+	// all[i] is spec i's flow (ID i+1), nil until it arrives. A flow whose
+	// endpoints share an engine is created at its arrival; a cross-shard
+	// flow is prebuilt and starts its two halves at the same instant on
+	// the two engines that own them. The counters feed live status only.
+	all := make([]*transport.Flow, len(plan.flows))
+	var flowsStarted, flowsDone atomic.Int64
+	var onDone func(*transport.Flow)
+	if sc.Live != nil {
+		onDone = func(*transport.Flow) { flowsDone.Add(1) }
+	}
+	for i, fs := range plan.flows {
+		schemes, comp, name := active, compActive, string(sc.Scheme)
+		if !plan.upgraded(fs) {
+			schemes, comp, name = legacy, compLegacy, transport.SchemeDCTCP
+		}
+		srcS, dstS := fab.HostShard[fs.Src], fab.HostShard[fs.Dst]
+		if srcS == dstS {
+			e, sch, c := engs[srcS], schemes[srcS], comp[srcS]
+			e.At(fs.At, func() {
+				fl := &transport.Flow{
+					ID:         uint64(i + 1),
+					Src:        agents[fs.Src],
+					Dst:        agents[fs.Dst],
+					Size:       fs.Size,
+					Start:      e.Now(),
+					OnComplete: onDone,
+				}
+				all[i] = fl
+				flowsStarted.Add(1)
+				prev := e.SetComponent(c)
+				sch.Start(fl)
+				e.SetComponent(prev)
+			})
+			continue
+		}
+		fl := &transport.Flow{
+			ID:         uint64(i + 1),
+			Src:        agents[fs.Src],
+			Dst:        agents[fs.Dst],
+			Size:       fs.Size,
+			Start:      fs.At,
+			OnComplete: onDone,
+		}
+		all[i] = fl
+		snd, rcv := asSplit(name, schemes[srcS]), asSplit(name, schemes[dstS])
+		engs[srcS].At(fs.At, func() {
+			prev := engs[srcS].SetComponent(comp[srcS])
+			snd.StartSender(fl)
+			engs[srcS].SetComponent(prev)
+			flowsStarted.Add(1)
+		})
+		engs[dstS].At(fs.At, func() {
+			prev := engs[dstS].SetComponent(comp[dstS])
+			rcv.StartReceiver(fl)
+			engs[dstS].SetComponent(prev)
 		})
 	}
-	eng.SetComponent(prevComp)
+	for s, e := range engs {
+		e.SetComponent(prevComp[s])
+	}
 
-	prober := obs.NewProber(eng, reg, tel)
-	prober.Start()
+	probers := make([]*obs.Prober, n)
+	for s, e := range engs {
+		probers[s] = obs.NewProber(e, regs[s], tel)
+		probers[s].Start()
+	}
 
 	// Invariant auditors: credit conservation samples the live pacer /
 	// sender counters and the fabric's rate-limited credit-queue drops.
+	// Forensics is single-engine, so they read engine 0's state.
 	var aud *forensics.Auditor
 	if sc.Forensics != nil {
-		issued := func() int64 {
-			var n int64
-			env.EachCounters(func(_ string, c transport.Counters) {
-				n += c.CreditsIssued.Value()
-			})
-			return n
+		sumCounters := func(get func(transport.Counters) int64) func() int64 {
+			return func() int64 {
+				var v int64
+				envs[0].EachCounters(func(_ string, c transport.Counters) { v += get(c) })
+				return v
+			}
 		}
-		consumed := func() int64 {
-			var n int64
-			env.EachCounters(func(_ string, c transport.Counters) {
-				n += c.CreditsGranted.Value()
-			})
-			return n
-		}
+		issued := sumCounters(func(c transport.Counters) int64 { return c.CreditsIssued.Value() })
+		consumed := sumCounters(func(c transport.Counters) int64 { return c.CreditsGranted.Value() })
 		creditDrops := func() int64 {
-			var n int64
-			count := func(p *netem.Port) {
-				for q := 0; q < p.NumQueues(); q++ {
-					if p.QueueConfig(q).RateLimit > 0 {
-						n += p.QueueStats(q).DroppedOver
-					}
-				}
-			}
-			for _, sw := range fab.Net.Switches {
-				for _, p := range sw.Ports() {
-					count(p)
-				}
-			}
-			for _, h := range fab.Net.Hosts {
-				count(h.NIC())
-			}
-			return n
+			var d Result
+			countFabricDrops(fab, &d)
+			return d.DropsCredit
 		}
-		aud = forensics.WireAudit(eng, sc.Forensics, fab.Net,
+		aud = forensics.WireAudit(engs[0], sc.Forensics, fab.Net,
 			func() []*transport.Flow { return all }, issued, consumed, creditDrops)
 		aud.Start()
 	}
 
-	// Without telemetry the ad-hoc queue sampler provides Q1 occupancy;
-	// with it, the prober's per-queue gauge series are consumed instead of
-	// re-deriving the same samples with a second scheduler.
-	var qs *metrics.QueueSampler
-	if sc.SampleQueues && prober == nil {
-		qs = metrics.NewQueueSampler(eng, 100*sim.Microsecond)
+	// Without telemetry an ad-hoc sampler per engine provides Q1
+	// occupancy of the ToR uplinks that engine owns; with it, the probers'
+	// per-queue gauge series are consumed instead of re-deriving the same
+	// samples with a second scheduler.
+	var qss []*metrics.QueueSampler
+	if sc.SampleQueues && probers[0] == nil {
+		qss = make([]*metrics.QueueSampler, n)
+		for s, e := range engs {
+			qss[s] = metrics.NewQueueSampler(e, 100*sim.Microsecond)
+		}
 		idx := fab.FlexQueueIndex
 		for _, up := range fab.TorUplinks {
-			up := up
-			qs.Track(func() (int64, int64) { return up.QueueBytes(idx) })
+			for s, e := range engs {
+				if up.Engine() == e {
+					qss[s].Track(func() (int64, int64) { return up.QueueBytes(idx) })
+				}
+			}
 		}
-		qs.Start()
+		for _, qs := range qss {
+			qs.Start()
+		}
 	}
 
 	wallStart := time.Now()
-	var publishLive func(done bool)
+	end := sc.Duration + sc.Drain
+	var publishLive func(s int, done bool)
 	if sc.Live != nil {
+		publishLive = livePublisher(sc.Live, engs, regs, wallStart, end,
+			len(plan.flows), &flowsStarted, &flowsDone)
 		every := sc.LiveEvery
 		if every <= 0 {
 			every = sim.Millisecond
 		}
-		board := sc.Live
-		end := sc.Duration + sc.Drain
-		publishLive = func(done bool) {
-			st := live.RunStatus{
-				SimNowPs:     int64(eng.Now()),
-				SimEndPs:     int64(end),
-				Events:       eng.Processed,
-				FlowsTotal:   len(flows),
-				FlowsStarted: len(all),
-				WallMS:       float64(time.Since(wallStart)) / float64(time.Millisecond),
-				Done:         done,
-			}
-			for _, fl := range all {
-				if fl.Completed {
-					st.FlowsDone++
-				}
-			}
-			if secs := time.Since(wallStart).Seconds(); secs > 0 {
-				st.EventsPerSec = float64(eng.Processed) / secs
-			}
-			board.Publish(st, reg.Final())
+		// Each engine posts its own progress on its own clock like any
+		// observer; the publisher's slots and the board are the only
+		// state shared across goroutines.
+		for s, e := range engs {
+			prev := e.SetComponent(e.Component("live/status"))
+			e.Every(every, func() { publishLive(s, false) })
+			e.SetComponent(prev)
 		}
-		// The publisher runs on the engine clock like any observer; the
-		// board is the only state it shares with HTTP readers.
-		prev := eng.SetComponent(eng.Component("live/status"))
-		eng.Every(every, func() { publishLive(false) })
-		eng.SetComponent(prev)
 	}
+
+	// Watchdog supervision: one Watch per engine so a kill aborts the
+	// whole fleet; progress is judged on the fleet-minimum horizon. An
+	// aborted sharded engine still advances its clock through each round
+	// window, so the shard protocol drains normally after a kill.
 	var wd *watchdog
 	if sc.Deadline > 0 || sc.StallTimeout > 0 {
-		w := &sim.Watch{}
-		eng.SetWatch(w)
-		wd = startWatchdog(sc.Deadline, sc.StallTimeout, w.NowPs, w.Events, w.Abort)
+		watches := make([]*sim.Watch, n)
+		for s, e := range engs {
+			watches[s] = &sim.Watch{}
+			e.SetWatch(watches[s])
+		}
+		horizon, events := watches[0].NowPs, watches[0].Events
+		if rt != nil {
+			horizon, events = rt.HorizonPs, rt.EventsProcessed
+		}
+		wd = startWatchdog(sc.Deadline, sc.StallTimeout, horizon, events, func() {
+			for _, w := range watches {
+				w.Abort()
+			}
+		})
 	}
-	eng.Run(sc.Duration + sc.Drain)
+	if rt != nil {
+		rt.Run(end)
+	} else {
+		engs[0].Run(end)
+	}
 	res.WallClock = time.Since(wallStart)
 	if ke := wd.stop(); ke != nil {
 		panic(ke)
 	}
 	if publishLive != nil {
-		publishLive(true)
+		for s := range engs {
+			publishLive(s, s == n-1)
+		}
 	}
 
-	for _, fl := range all {
-		res.Flows.Add(metrics.Snapshot(fl, incastOf[fl.ID]))
+	for i, fl := range all {
+		if fl != nil {
+			res.Flows.Add(metrics.Snapshot(fl, plan.flows[i].Incast))
+		}
 	}
-	if qs != nil {
-		res.QueueAvg, res.QueueP90 = metrics.Stats(qs.Totals, 0.9)
-		res.QueueRedAvg, res.QueueRedP90 = metrics.Stats(qs.Reds, 0.9)
-	} else if sc.SampleQueues {
+	if sc.SampleQueues {
 		var totals, reds []int64
-		idx := fab.FlexQueueIndex
-		for _, up := range fab.TorUplinks {
-			ent := fmt.Sprintf("port/%s/q%d", up.Name(), idx)
-			if s := prober.Find(ent, "bytes"); s != nil {
-				totals = append(totals, s.Values()...)
-			}
-			if s := prober.Find(ent, "red_bytes"); s != nil {
-				reds = append(reds, s.Values()...)
+		for _, qs := range qss {
+			totals = append(totals, qs.Totals...)
+			reds = append(reds, qs.Reds...)
+		}
+		if qss == nil {
+			idx := fab.FlexQueueIndex
+			for _, up := range fab.TorUplinks {
+				ent := fmt.Sprintf("port/%s/q%d", up.Name(), idx)
+				for _, p := range probers {
+					if s := p.Find(ent, "bytes"); s != nil {
+						totals = append(totals, s.Values()...)
+					}
+					if s := p.Find(ent, "red_bytes"); s != nil {
+						reds = append(reds, s.Values()...)
+					}
+				}
 			}
 		}
 		res.QueueAvg, res.QueueP90 = metrics.Stats(totals, 0.9)
 		res.QueueRedAvg, res.QueueRedP90 = metrics.Stats(reds, 0.9)
 	}
 	countFabricDrops(fab, res)
-	res.Events = eng.Processed
-	res.Trace = ring
-	if profiler != nil {
-		res.Profiler = profiler
-		res.Profile = profiler.Export()
+	for _, e := range engs {
+		res.Events += e.Processed
+	}
+	if rings[0] != nil {
+		res.Trace = trace.Merge(rings...)
+	}
+	if sc.Profile {
+		exports := make([][]obs.ComponentProfile, n)
+		for s, p := range profilers {
+			exports[s] = p.Export()
+		}
+		res.Profile = prof.MergeExports(exports...)
 	}
 
 	if sc.Forensics != nil {
@@ -689,20 +821,101 @@ func Run(sc Scenario) *Result {
 		res.Forensics = &forensics.Report{
 			Violations:        aud.Violations(),
 			ViolationsDropped: aud.Dropped(),
-			Timelines:         forensics.WorstTimelines(rec, ring, all, slowdown, sc.Forensics),
+			Timelines:         forensics.WorstTimelines(rec, res.Trace, all, slowdown, sc.Forensics),
 		}
 	}
 
-	if reg != nil {
-		recordWorkloadObs(reg, flows, all)
-		res.Telemetry = obs.Collect(reg, prober, buildManifest(sc, hosts, prober.Interval(), res, 0))
-		res.Telemetry.AttachTrace(ring)
+	if regs[0] != nil {
+		// Workload accounting is global, not per-engine: fold it into
+		// engine 0's registry before the merge.
+		recordWorkloadObs(regs[0], plan.flows, all)
+		runs := make([]*obs.Run, n)
+		for s, reg := range regs {
+			runs[s] = obs.Collect(reg, probers[s], obs.Manifest{})
+		}
+		m := buildManifest(sc, plan.hosts, probers[0].Interval(), res, n)
+		res.Telemetry = obs.MergeRuns(m, runs...)
+		res.Telemetry.AttachTrace(res.Trace)
 		if res.Forensics != nil {
 			res.Telemetry.Forensics = res.Forensics.Export()
 		}
 		res.Telemetry.Faults = res.Faults.Export()
 	}
 	return res
+}
+
+// livePublisher returns the live-status hook for an n-engine run. Each
+// call posts engine s's own clock, event count, and registry readings
+// into its mutex-guarded slot — from engine s's goroutine while the run
+// executes, or after the drain — then publishes the merged snapshot:
+// the fleet-minimum sim time (the horizon every engine has reached),
+// summed events, and readings summed across engines.
+func livePublisher(board *live.RunBoard, engs []*sim.Engine, regs []*obs.Registry,
+	wallStart time.Time, end sim.Time, total int, started, done *atomic.Int64) func(s int, final bool) {
+	var mu sync.Mutex
+	nowPs := make([]int64, len(engs))
+	events := make([]uint64, len(engs))
+	readings := make([][]obs.Reading, len(engs))
+	return func(s int, final bool) {
+		now, ev, rd := int64(engs[s].Now()), engs[s].Processed, regs[s].Final()
+		mu.Lock()
+		defer mu.Unlock()
+		nowPs[s], events[s], readings[s] = now, ev, rd
+		st := live.RunStatus{
+			SimNowPs:     slices.Min(nowPs),
+			SimEndPs:     int64(end),
+			FlowsTotal:   total,
+			FlowsStarted: int(started.Load()),
+			FlowsDone:    int(done.Load()),
+			WallMS:       float64(time.Since(wallStart)) / float64(time.Millisecond),
+			Done:         final,
+		}
+		for _, e := range events {
+			st.Events += e
+		}
+		if secs := time.Since(wallStart).Seconds(); secs > 0 {
+			st.EventsPerSec = float64(st.Events) / secs
+		}
+		board.Publish(st, mergeReadings(readings))
+	}
+}
+
+// asSplit asserts that a built scheme supports split starts — every
+// built-in does; a registered third-party scheme that doesn't cannot
+// start a flow across a shard cut.
+func asSplit(name string, s transport.Scheme) transport.SplitScheme {
+	sp, ok := s.(transport.SplitScheme)
+	if !ok {
+		panic(fmt.Sprintf("harness: scheme %q does not implement transport.SplitScheme; run with Shards <= 1", name))
+	}
+	return sp
+}
+
+// mergeReadings folds per-engine registry finals into one reading set,
+// summing values that share (entity, metric, kind). Finals are sorted,
+// so the merged order is deterministic; a single set is returned as is.
+func mergeReadings(sets [][]obs.Reading) []obs.Reading {
+	if len(sets) == 1 {
+		return sets[0]
+	}
+	type key struct {
+		entity, metric string
+		kind           obs.SampleKind
+	}
+	idx := map[key]int{}
+	var out []obs.Reading
+	for _, set := range sets {
+		for _, r := range set {
+			k := key{r.Entity, r.Metric, r.Kind}
+			if j, ok := idx[k]; ok {
+				out[j].Value += r.Value
+				continue
+			}
+			idx[k] = len(out)
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 // countFabricDrops folds every port's drop and fault-loss counters into
@@ -735,9 +948,12 @@ func countFabricDrops(fab *topo.Fabric, res *Result) {
 }
 
 // buildManifest assembles the exported run manifest. shards is the
-// effective parallel-engine count (0 on the single-engine path, so the
-// field is omitted from the artifact exactly as before sharding).
+// effective engine count; a single-engine run records 0, so the field is
+// omitted from the artifact exactly as before sharding.
 func buildManifest(sc Scenario, hosts int, probe sim.Time, res *Result, shards int) obs.Manifest {
+	if shards == 1 {
+		shards = 0
+	}
 	// Workload identity mirrors planWorkload's routing: trace replays get
 	// a content-addressed "trace:<digest>" (a trace run used to record an
 	// empty workload), plans their name, the parameter path its CDF name.

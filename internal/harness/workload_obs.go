@@ -14,20 +14,11 @@ import (
 // registered only when the workload actually carries tenant or coflow
 // tags, so artifacts of untagged runs are unchanged.
 //
-// Both runner paths assign flow ID = spec index + 1 in spec order (the
-// single-engine loop increments nextID per spec; the sharded path
-// prebuilds IDs), which is the mapping this accounting relies on. A
-// spec whose arrival never fired (past the window) simply has no
-// started flow and counts as incomplete.
-func recordWorkloadObs(reg *obs.Registry, specs []workload.FlowSpec, started []*transport.Flow) {
+// flows[i] is spec i's flow, as Run lays them out; a spec whose arrival
+// never fired (past the window) has a nil flow and counts as incomplete.
+func recordWorkloadObs(reg *obs.Registry, specs []workload.FlowSpec, flows []*transport.Flow) {
 	if reg == nil {
 		return
-	}
-	byID := make([]*transport.Flow, len(specs)+1)
-	for _, fl := range started {
-		if fl.ID > 0 && fl.ID < uint64(len(byID)) {
-			byID[fl.ID] = fl
-		}
 	}
 	type coflowState struct {
 		total, done int
@@ -37,7 +28,7 @@ func recordWorkloadObs(reg *obs.Registry, specs []workload.FlowSpec, started []*
 	coflows := map[uint64]*coflowState{}
 	var order []uint64
 	for i, fs := range specs {
-		fl := byID[i+1]
+		fl := flows[i]
 		completed := fl != nil && fl.Completed
 		if fs.Tenant != "" {
 			ent := "workload/tenant/" + fs.Tenant

@@ -17,9 +17,14 @@ package obs
 //     take this path).
 //
 // Trace, forensics, and fault lines are not merged here — callers attach
-// those from their own merged sources (trace.Merge, the fault log).
+// those from their own merged sources (trace.Merge, the fault log). A
+// single run is returned itself, with its manifest replaced by m.
 func MergeRuns(m Manifest, runs ...*Run) *Run {
 	m.Schema = SchemaVersion
+	if len(runs) == 1 && runs[0] != nil {
+		runs[0].Manifest = m
+		return runs[0]
+	}
 	out := &Run{Manifest: m}
 	type seriesKey struct {
 		entity, metric, kind string

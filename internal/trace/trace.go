@@ -167,8 +167,12 @@ func (r *Ring) String() string {
 // concatenated and stably sorted by time (ties keep ring order, so pass
 // rings in shard order for a deterministic result), and the displaced
 // counts are summed. Sharded runs merge their per-shard rings with this
-// after the fabric drains; nil rings are skipped.
+// after the fabric drains; nil rings are skipped. A single ring is
+// returned as is.
 func Merge(rings ...*Ring) *Ring {
+	if len(rings) == 1 {
+		return rings[0]
+	}
 	var events []Event
 	var dropped int64
 	for _, r := range rings {
