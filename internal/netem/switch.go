@@ -13,7 +13,7 @@ type Switch struct {
 	name   string
 	eng    *sim.Engine
 	ports  []*Port
-	routes map[NodeID][]*Port
+	routes [][]*Port // ECMP egress choices, indexed by destination NodeID
 	shared *SharedBuffer
 
 	// RxPackets counts packets entering the switch.
@@ -27,7 +27,6 @@ func NewSwitch(eng *sim.Engine, id NodeID, name string, shared *SharedBuffer) *S
 		id:     id,
 		name:   name,
 		eng:    eng,
-		routes: make(map[NodeID][]*Port),
 		shared: shared,
 	}
 }
@@ -52,14 +51,22 @@ func (s *Switch) Ports() []*Port { return s.ports }
 
 // AddRoute appends egress choices for dst. Calling it repeatedly grows the
 // ECMP set; the order of additions is part of the deterministic config.
+// Node IDs are dense (Network.AllocID), so the table is a slice that grows
+// to the largest destination routed.
 func (s *Switch) AddRoute(dst NodeID, ports ...*Port) {
+	if n := int(dst) + 1; n > len(s.routes) {
+		s.routes = append(s.routes, make([][]*Port, n-len(s.routes))...)
+	}
 	s.routes[dst] = append(s.routes[dst], ports...)
 }
 
 // Receive implements Node: route and enqueue.
 func (s *Switch) Receive(pkt *Packet) {
 	s.RxPackets++
-	choices := s.routes[pkt.Dst]
+	var choices []*Port
+	if uint(pkt.Dst) < uint(len(s.routes)) {
+		choices = s.routes[pkt.Dst]
+	}
 	switch len(choices) {
 	case 0:
 		panic(fmt.Sprintf("netem: switch %s has no route to node %d", s.name, pkt.Dst))
@@ -80,21 +87,25 @@ func ecmpHash(src, dst NodeID, flow uint64) uint64 {
 	if lo > hi {
 		lo, hi = hi, lo
 	}
-	// FNV-1a over the three values.
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime
-			v >>= 8
-		}
-	}
-	mix(uint64(uint32(lo)))
-	mix(uint64(uint32(hi)))
-	mix(flow)
-	return h
+	h := fnvMix(fnvOffset, uint64(uint32(lo)))
+	h = fnvMix(h, uint64(uint32(hi)))
+	return fnvMix(h, flow)
+}
+
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnvMix folds the eight bytes of v, low byte first, into the FNV-1a
+// state h.
+func fnvMix(h, v uint64) uint64 {
+	h = (h ^ uint64(uint8(v))) * fnvPrime
+	h = (h ^ uint64(uint8(v>>8))) * fnvPrime
+	h = (h ^ uint64(uint8(v>>16))) * fnvPrime
+	h = (h ^ uint64(uint8(v>>24))) * fnvPrime
+	h = (h ^ uint64(uint8(v>>32))) * fnvPrime
+	h = (h ^ uint64(uint8(v>>40))) * fnvPrime
+	h = (h ^ uint64(uint8(v>>48))) * fnvPrime
+	return (h ^ v>>56) * fnvPrime
 }

@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"fmt"
 	"testing"
 
 	"flexpass/internal/sim"
@@ -102,6 +103,31 @@ func TestECMPHashSymmetric(t *testing.T) {
 	}
 }
 
+// TestECMPHashPinned pins ecmpHash output for a few (src, dst, flow)
+// triples, so ECMP path choice — and with it every multi-path result —
+// cannot drift when the hash is reworked.
+func TestECMPHashPinned(t *testing.T) {
+	cases := []struct {
+		src, dst NodeID
+		flow     uint64
+		want     uint64
+	}{
+		{0, 0, 0, 0x81d23fd7003c2305},
+		{0, 1, 0, 0x32d42a0eed270ac4},
+		{3, 7, 42, 0x32a823a6297ebd8b},
+		{7, 3, 42, 0x32a823a6297ebd8b},
+		{191, 200, 1, 0x94ec5adeb41898b3},
+		{12, 5, 1<<40 + 17, 0x7a72b3a6e7239fb2},
+		{2147483647, 1, ^uint64(0), 0xbe8906497680a838},
+		{-1, 5, 9, 0xc3b216fe1f66a70d},
+	}
+	for _, c := range cases {
+		if got := ecmpHash(c.src, c.dst, c.flow); got != c.want {
+			t.Errorf("ecmpHash(%d, %d, %d) = %#x, want %#x", c.src, c.dst, c.flow, got, c.want)
+		}
+	}
+}
+
 func TestHostSendAppliesDelayAndSrc(t *testing.T) {
 	eng := sim.NewEngine(1)
 	nic := NewPort(eng, "nic", 10*units.Gbps, 0, PortConfig{Queues: []QueueConfig{{}}}, nil)
@@ -142,15 +168,32 @@ type nodeFunc func(*Packet)
 func (f nodeFunc) NodeID() NodeID    { return -1 }
 func (f nodeFunc) Receive(p *Packet) { f(p) }
 
+// TestSwitchPanicsOnMissingRoute covers the route table's edges: an
+// empty table, a hole below the largest routed ID, an ID past the table,
+// and a negative ID all panic with the missing-route message.
 func TestSwitchPanicsOnMissingRoute(t *testing.T) {
 	eng := sim.NewEngine(1)
-	sw := NewSwitch(eng, 10, "sw", nil)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("missing route must panic (config error, not runtime condition)")
-		}
-	}()
-	sw.Receive(&Packet{Dst: 42, Size: 100})
+	empty := NewSwitch(eng, 10, "empty", nil)
+	sw := NewSwitch(eng, 11, "sw", nil)
+	p := NewPort(eng, "p", 10*units.Gbps, 0, PortConfig{Queues: []QueueConfig{{}}}, nil)
+	p.Connect(&sink{id: 3, eng: eng})
+	sw.AddPort(p)
+	sw.AddRoute(3, p)
+	cases := []struct {
+		sw  *Switch
+		dst NodeID
+	}{{empty, 42}, {sw, 2}, {sw, 4}, {sw, -1}}
+	for _, c := range cases {
+		func() {
+			defer func() {
+				want := fmt.Sprintf("netem: switch %s has no route to node %d", c.sw.Name(), c.dst)
+				if r := recover(); r != want {
+					t.Errorf("missing route must panic (config error, not runtime condition): dst %d: got %v, want %q", c.dst, r, want)
+				}
+			}()
+			c.sw.Receive(&Packet{Dst: c.dst, Size: 100})
+		}()
+	}
 }
 
 func TestHostWithoutHandlerDropsSilently(t *testing.T) {

@@ -12,7 +12,7 @@ func TestZeroAllocSteadyState(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		e.After(Time(i)*Microsecond, fn)
 	}
-	e.Run(e.Now() + Millisecond) // warm the heap and free list
+	e.Run(e.Now() + Millisecond) // warm the queue and free list
 	allocs := testing.AllocsPerRun(1000, func() {
 		e.After(Microsecond, fn)
 		e.Run(e.Now() + Millisecond)
@@ -89,8 +89,8 @@ func TestStaleTimerAfterRecycle(t *testing.T) {
 }
 
 // TestInteriorRemovalKeepsOrder stops events scattered through a large
-// heap and checks the survivors still fire in exact (at, seq) order —
-// interior removal must never corrupt the heap invariant.
+// queue and checks the survivors still fire in exact (at, seq) order —
+// interior removal must never corrupt the queue's order.
 func TestInteriorRemovalKeepsOrder(t *testing.T) {
 	e := NewEngine(1)
 	const n = 500

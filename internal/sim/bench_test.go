@@ -59,7 +59,7 @@ func BenchmarkEngineDispatch(b *testing.B) {
 	for i := 0; i < pending; i++ {
 		e.After(Time(i)*Nanosecond, tick)
 	}
-	e.Run(e.Now() + Millisecond) // warm the heap and any free lists
+	e.Run(e.Now() + Millisecond) // warm the queue and any free lists
 	b.ReportAllocs()
 	b.ResetTimer()
 	target := e.Processed + uint64(b.N)
@@ -68,10 +68,10 @@ func BenchmarkEngineDispatch(b *testing.B) {
 	}
 }
 
-// BenchmarkTimerStopPending measures cancellation with a busy heap: every
+// BenchmarkTimerStopPending measures cancellation with a busy queue: every
 // iteration schedules a far-out timer and stops it while thousands of
 // live events churn. Pre-fix, cancelled placeholders linger until popped
-// and inflate every subsequent heap operation.
+// and inflate every subsequent queue operation.
 func BenchmarkTimerStopPending(b *testing.B) {
 	e := NewEngine(1)
 	const pending = 4096

@@ -7,6 +7,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"time"
 )
@@ -54,7 +55,8 @@ type event struct {
 	seq  uint64 // insertion order, breaks ties deterministically
 	fn   func()
 	gen  uint64
-	idx  int32 // heap index; -1 when not in the heap
+	idx  int32 // position within its queue bucket
+	bkt  uint8 // queue bucket holding the event
 	comp uint8 // Component that scheduled the event (attribution only)
 }
 
@@ -91,10 +93,16 @@ func (t *Timer) Pending() bool {
 type Engine struct {
 	now     Time
 	seq     uint64
-	events  []*event // 4-ary min-heap ordered by (at, seq)
 	free    []*event // recycled events
 	rng     *rand.Rand
 	stopped bool
+
+	// The schedule: a monotone radix queue over (at, seq).
+	last    Time         // at of the last minimum taken out; no queued at is smaller
+	buckets [64][]*event // bucket b > 0: events whose at first differs from last at bit b-1
+	head    int          // buckets[0] is drained from head, in (at, seq) order
+	used    uint64       // bit b set while buckets[b] (b > 0) is non-empty
+	queued  int          // live scheduled events
 
 	// Component attribution. curComp labels whoever is currently
 	// scheduling: events stamped in At inherit it, and Run restores it
@@ -186,7 +194,7 @@ func (e *Engine) alloc() *event {
 		e.free = e.free[:n-1]
 		return ev
 	}
-	return &event{idx: -1}
+	return &event{}
 }
 
 // recycle returns a detached event to the free list. Bumping gen
@@ -198,7 +206,10 @@ func (e *Engine) recycle(ev *event) {
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
-// it always indicates a logic error in the caller.
+// it always indicates a logic error in the caller. The queue depends on
+// this precondition: the last minimum it took out never lies after now,
+// so every t accepted here is at least that minimum, which is what keeps
+// its radix buckets exact.
 func (e *Engine) At(t Time, fn func()) Timer {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
@@ -274,6 +285,11 @@ func (t *Ticker) Stop() {
 // Run dispatches events in timestamp order until the queue empties, the
 // clock passes until, or Stop is called. Events scheduled exactly at until
 // still run.
+//
+// Run never advances the queue past until: when the earliest event lies
+// beyond it, Run returns without touching the buckets. A sharded window
+// relies on this, because it schedules cross-shard arrivals at or after
+// until once Run has returned.
 func (e *Engine) Run(until Time) {
 	e.stopped = false
 	w := e.watch
@@ -286,9 +302,9 @@ func (e *Engine) Run(until Time) {
 		}
 		w.publish(e.now, e.Processed)
 	}
-	for len(e.events) > 0 && !e.stopped {
-		next := e.events[0]
-		if next.at > until {
+	for !e.stopped {
+		next := e.peek(until)
+		if next == nil {
 			break
 		}
 		if w != nil && e.Processed&255 == 0 {
@@ -297,7 +313,7 @@ func (e *Engine) Run(until Time) {
 				break
 			}
 		}
-		e.popMin()
+		e.popNow()
 		e.now = next.at
 		fn := next.fn
 		comp := Component(next.comp)
@@ -328,16 +344,22 @@ func (e *Engine) Run(until Time) {
 // removed from the schedule immediately, so — unlike earlier revisions,
 // which counted cancelled placeholders until they were popped — this is an
 // exact live-event count.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return e.queued }
 
-// The schedule is a hand-rolled 4-ary min-heap over (at, seq). Compared to
-// container/heap this is monomorphic (no interface dispatch, no
-// Push(any)/Pop() boxing) and shallower (log4 vs log2 levels), which is
-// where the engine spends its time at fabric scale. Pop order — and
-// therefore simulation behaviour — depends only on the (at, seq) total
-// order, never on the internal array layout.
+// The schedule is a monotone radix queue. It is exact because keys never
+// go below last (see At): an event sits in bucket bits.Len64(at ^ last),
+// so bucket 0 holds the events at last itself and bucket b > 0 holds those
+// whose at first differs from last at bit b-1. Bucket 0 is kept sorted
+// and drained from the front. When it runs dry, the lowest non-empty
+// bucket is scanned for its minimum m, last becomes m, and its events
+// move to strictly lower buckets, the ones at m into bucket 0. Each event
+// therefore moves at most 63 times, and in practice a handful. Pop order
+// — and therefore simulation behaviour — is the (at, seq) total order of
+// before, never the bucket layout.
 
-func (e *Engine) less(a, b *event) bool {
+// before is the schedule's total order: time first, then insertion seq.
+// It is the one place ties are broken.
+func before(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -345,89 +367,107 @@ func (e *Engine) less(a, b *event) bool {
 }
 
 func (e *Engine) push(ev *event) {
-	ev.idx = int32(len(e.events))
-	e.events = append(e.events, ev)
-	e.siftUp(int(ev.idx))
+	e.queued++
+	e.place(ev)
 }
 
-// popMin removes and returns the heap root; caller guarantees non-empty.
-func (e *Engine) popMin() *event {
-	h := e.events
-	ev := h[0]
-	n := len(h) - 1
-	if n > 0 {
-		h[0] = h[n]
-		h[0].idx = 0
+// place files ev in bucket bits.Len64(at ^ last).
+func (e *Engine) place(ev *event) {
+	b := bits.Len64(uint64(ev.at ^ e.last))
+	if b == 0 {
+		e.insertNow(ev)
+		return
 	}
-	h[n] = nil
-	e.events = h[:n]
-	if n > 1 {
-		e.siftDown(0)
-	}
-	ev.idx = -1
-	return ev
+	ev.bkt = uint8(b)
+	ev.idx = int32(len(e.buckets[b]))
+	e.buckets[b] = append(e.buckets[b], ev)
+	e.used |= 1 << b
 }
 
-// remove detaches an interior event (Timer.Stop) in O(log n).
+// insertNow places an event due at last into bucket 0 by before. A direct
+// insert carries the largest seq so far and stays at the back; only a
+// redistribution can place several events out of order.
+func (e *Engine) insertNow(ev *event) {
+	q := append(e.buckets[0], ev)
+	i := len(q) - 1
+	for i > e.head && before(ev, q[i-1]) {
+		q[i] = q[i-1]
+		q[i].idx = int32(i)
+		i--
+	}
+	q[i] = ev
+	ev.idx = int32(i)
+	ev.bkt = 0
+	e.buckets[0] = q
+}
+
+// peek returns the earliest scheduled event if it is due by until, and
+// nil otherwise. When bucket 0 is empty it refills it from the lowest
+// non-empty bucket, but only if that bucket's minimum is due: last never
+// passes until.
+func (e *Engine) peek(until Time) *event {
+	if q := e.buckets[0]; e.head < len(q) {
+		if ev := q[e.head]; ev.at <= until {
+			return ev
+		}
+		return nil
+	}
+	if e.used == 0 {
+		return nil
+	}
+	b := bits.TrailingZeros64(e.used)
+	q := e.buckets[b]
+	m := q[0].at
+	for _, ev := range q[1:] {
+		if ev.at < m {
+			m = ev.at
+		}
+	}
+	if m > until {
+		return nil
+	}
+	e.last = m
+	e.buckets[b] = q[:0]
+	e.used &^= 1 << b
+	for _, ev := range q {
+		e.place(ev)
+	}
+	return e.buckets[0][0]
+}
+
+// popNow takes out the front of bucket 0, the event peek returned.
+func (e *Engine) popNow() {
+	e.queued--
+	e.head++
+	if e.head == len(e.buckets[0]) {
+		e.buckets[0] = e.buckets[0][:0]
+		e.head = 0
+	}
+}
+
+// remove detaches a scheduled event (Timer.Stop): a swap with the last
+// entry in buckets above 0, an order-preserving delete in bucket 0.
 func (e *Engine) remove(ev *event) {
+	e.queued--
 	i := int(ev.idx)
-	h := e.events
-	n := len(h) - 1
-	if i != n {
-		h[i] = h[n]
-		h[i].idx = int32(i)
+	q := e.buckets[ev.bkt]
+	n := len(q) - 1
+	if ev.bkt == 0 {
+		copy(q[i:], q[i+1:])
+		for j := i; j < n; j++ {
+			q[j].idx = int32(j)
+		}
+		if e.head == n {
+			n, e.head = 0, 0
+		}
+	} else {
+		if i != n {
+			q[i] = q[n]
+			q[i].idx = int32(i)
+		}
+		if n == 0 {
+			e.used &^= 1 << ev.bkt
+		}
 	}
-	h[n] = nil
-	e.events = h[:n]
-	if i != n {
-		e.siftDown(i)
-		e.siftUp(i)
-	}
-	ev.idx = -1
-}
-
-func (e *Engine) siftUp(i int) {
-	h := e.events
-	ev := h[i]
-	for i > 0 {
-		p := (i - 1) / 4
-		if !e.less(ev, h[p]) {
-			break
-		}
-		h[i] = h[p]
-		h[i].idx = int32(i)
-		i = p
-	}
-	h[i] = ev
-	ev.idx = int32(i)
-}
-
-func (e *Engine) siftDown(i int) {
-	h := e.events
-	n := len(h)
-	ev := h[i]
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		best := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if e.less(h[c], h[best]) {
-				best = c
-			}
-		}
-		if !e.less(h[best], ev) {
-			break
-		}
-		h[i] = h[best]
-		h[i].idx = int32(i)
-		i = best
-	}
-	h[i] = ev
-	ev.idx = int32(i)
+	e.buckets[ev.bkt] = q[:n]
 }

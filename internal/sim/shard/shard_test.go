@@ -215,7 +215,7 @@ func TestDegenerateRuns(t *testing.T) {
 
 // TestUnsentFinalBatch: deliveries whose arrival falls past `until`
 // stay pending or unsent — exactly like events left in a single
-// engine's heap at cutoff — without wedging the final rounds.
+// engine's queue at cutoff — without wedging the final rounds.
 func TestUnsentFinalBatch(t *testing.T) {
 	rt, engs := newRuntime(t, 2)
 	sk := &sink{eng: engs[1]}
